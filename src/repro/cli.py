@@ -61,6 +61,7 @@ from typing import List, Optional
 
 from repro.core.policies.registry import available_policies
 from repro.core.policy_spec import named_policy_spec
+from repro.exceptions import ReproError
 from repro.hw import (
     available_device_presets,
     make_device,
@@ -880,6 +881,9 @@ def _run_jobs(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _dispatch(build_parser().parse_args(argv))
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pipe closed early (e.g. `repro run --trace-out - |
         # head`): the Unix convention is silent success.  Point stdout

@@ -65,7 +65,7 @@ from repro.server.jobs import (
     parse_job_spec,
 )
 from repro.session import ArtifactCache, Session, SessionHooks
-from repro.sim.tracing import JsonlTraceWriter, TraceSink
+from repro.sim.tracing import SCALAR_HOOK_KEYS, JsonlTraceWriter, TraceSink
 from repro.workloads.scenarios import make_scenario
 
 
@@ -75,13 +75,18 @@ class _CancelSink(TraceSink):
     Attached to every job's event stream; checking a ``threading.Event``
     every 256 events keeps the cost invisible while bounding the
     cancellation latency to a fraction of a millisecond of simulation.
+    Every event kind maps to one field-taking tick, so no event objects
+    are built for it.
     """
 
     def __init__(self, job: Job) -> None:
         self._job = job
         self._countdown = 256
 
-    def on_event(self, event) -> None:
+    def scalar_hooks(self):
+        return {key: self._tick for key, _ in SCALAR_HOOK_KEYS}
+
+    def _tick(self, *_fields) -> None:
         self._countdown -= 1
         if self._countdown <= 0:
             self._countdown = 256

@@ -384,10 +384,14 @@ class Job:
 
     # -- worker-thread side ---------------------------------------------
     def finish(self, state: str, error: Optional[str] = None) -> None:
-        """Terminal transition (worker thread); wakes loop-side waiters."""
-        self.state = state
+        """Terminal transition (worker thread); wakes loop-side waiters.
+
+        ``state`` is assigned last: a status read that sees a terminal
+        state also sees its ``finished`` time and ``error``.
+        """
         self.error = error
         self.finished = time.time()
+        self.state = state
         if self.channel is not None:
             self.channel.finish()
         self._loop.call_soon_threadsafe(self._done.set)

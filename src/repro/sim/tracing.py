@@ -235,9 +235,9 @@ _CONFIG_FIELDS = frozenset({"config", "old_config", "new_config", "victim_config
 # ----------------------------------------------------------------------
 # Sink protocol
 # ----------------------------------------------------------------------
-#: Keys of the optional scalar fast path, in documentation order.  Each
-#: maps to a callback taking the matching event class's fields as
-#: positional arguments (``('exec_start', ExecStart)`` →
+#: The engine's hook keys, in documentation order.  Each maps to a
+#: callback taking the matching event class's fields as positional
+#: arguments (``('exec_start', ExecStart)`` →
 #: ``hook(time, ru, config, app_index, end, reused, load_us)``).
 SCALAR_HOOK_KEYS: Tuple[Tuple[str, type], ...] = (
     ("run_start", RunStart),
@@ -253,26 +253,40 @@ SCALAR_HOOK_KEYS: Tuple[Tuple[str, type], ...] = (
     ("run_end", RunEnd),
 )
 
+_KEY_BY_EVENT: Dict[type, str] = {cls: key for key, cls in SCALAR_HOOK_KEYS}
+
+
+def _event_key(event: object) -> str:
+    try:
+        return _KEY_BY_EVENT[type(event)]
+    except KeyError:
+        raise SimulationError(f"not a trace event: {event!r}") from None
+
+
+def _object_hook(cls: type, on_event: Callable) -> Callable:
+    def hook(*values):
+        on_event(cls(*values))
+
+    return hook
+
 
 class TraceSink:
     """Observer of the manager's event stream.
 
-    Subclasses override :meth:`on_event`; :meth:`close` is called exactly
-    once when the run finishes (or aborts), so file-backed sinks can
-    flush.  A sink instance observes a single run — the :class:`RunStart`
-    /:class:`RunEnd` pair brackets its lifetime.
+    Every sink is called through its :meth:`scalar_hooks` table: one
+    callback per event kind, taking the event's *fields* as positional
+    arguments.  Override :meth:`on_event` to receive event objects — the
+    default :meth:`scalar_hooks` builds each :class:`TraceEvent` from its
+    fields and hands it over — or override :meth:`scalar_hooks` to take
+    the fields directly and skip the allocation, as the built-in
+    :class:`FullTrace` / :class:`AggregateTrace` sinks do.  Both styles
+    see the same stream in the same order (pinned by
+    ``tests/test_compiled_equivalence.py``).
 
-    **Scalar fast path.**  A sink may additionally implement
-    :meth:`scalar_hooks`, returning one callback per event kind that
-    takes the event's *fields* as positional arguments instead of an
-    event object.  When a run's only sink provides them, the engine
-    dispatches through the callbacks and never materialises
-    :class:`TraceEvent` objects — the allocation-lean path the built-in
-    :class:`FullTrace` / :class:`AggregateTrace` sinks use.  A ``None``
-    value for a kind means "not interested": the engine skips the
-    dispatch for that kind entirely.  The two paths are observationally
-    identical (pinned by ``tests/test_compiled_equivalence.py``); any
-    run with more than one sink automatically uses event objects.
+    :meth:`close` is called exactly once when the run finishes (or
+    aborts), so file-backed sinks can flush.  A sink instance observes a
+    single run — the :class:`RunStart` /:class:`RunEnd` pair brackets its
+    lifetime.
     """
 
     def on_event(self, event: TraceEvent) -> None:
@@ -281,25 +295,82 @@ class TraceSink:
     def close(self) -> None:
         """Release resources; called once after the run (even on error)."""
 
-    def scalar_hooks(self) -> Optional[Dict[str, Optional["Callable"]]]:
-        """Per-kind scalar callbacks, or ``None`` to receive objects.
+    def scalar_hooks(self) -> Dict[str, Optional[Callable]]:
+        """Per-kind callbacks, one per key of :data:`SCALAR_HOOK_KEYS`.
 
-        Implementations must return a dict covering every key in
-        :data:`SCALAR_HOOK_KEYS` (``None`` values mark ignored kinds)
-        and must behave exactly like :meth:`on_event` fed the
-        corresponding event object.
+        A ``None`` value marks a kind the sink ignores: the engine skips
+        its dispatch entirely.  The default forwards every kind to
+        :meth:`on_event` as an event object.
         """
-        return None
+        on_event = self.on_event
+        return {key: _object_hook(cls, on_event) for key, cls in SCALAR_HOOK_KEYS}
 
 
-class FullTrace(TraceSink):
+def _fan_out(hooks: Tuple[Callable, ...]) -> Callable:
+    def fan_out(*values):
+        for hook in hooks:
+            hook(*values)
+
+    return fan_out
+
+
+def bind_hooks(sinks: Sequence[TraceSink]) -> Dict[str, Optional[Callable]]:
+    """Merge the sinks' hook tables into one callback per event kind.
+
+    Each kind binds ``None`` when no sink wants it, the single hook when
+    one sink does, and otherwise a fan-out calling the hooks in sink
+    order.  Raises :class:`SimulationError` for a sink whose table
+    misses a key.
+    """
+    tables = []
+    for sink in sinks:
+        table = sink.scalar_hooks() or {}
+        missing = [key for key, _ in SCALAR_HOOK_KEYS if key not in table]
+        if missing:
+            raise SimulationError(
+                f"{type(sink).__name__}.scalar_hooks() is missing key(s) "
+                f"{missing}; a sink's hook table must cover every key in "
+                f"SCALAR_HOOK_KEYS ({[key for key, _ in SCALAR_HOOK_KEYS]}) — "
+                "use None for ignored kinds, or inherit "
+                "TraceSink.scalar_hooks() to receive event objects"
+            )
+        tables.append(table)
+    bound: Dict[str, Optional[Callable]] = {}
+    for key, _ in SCALAR_HOOK_KEYS:
+        hooks = tuple(table[key] for table in tables if table[key] is not None)
+        bound[key] = (
+            None if not hooks else hooks[0] if len(hooks) == 1 else _fan_out(hooks)
+        )
+    return bound
+
+
+class _HookSink(TraceSink):
+    """Built-in sink: one ``_h_<key>`` body per recorded event kind.
+
+    The hook table maps each key to its ``_h_*`` method, or ``None``
+    when the sink has none.  Event objects handed to :meth:`on_event`
+    go through the same bodies, so there is one implementation per kind.
+    """
+
+    def scalar_hooks(self) -> Dict[str, Optional[Callable]]:
+        return {key: getattr(self, "_h_" + key, None) for key, _ in SCALAR_HOOK_KEYS}
+
+    def on_event(self, event: TraceEvent) -> None:
+        hook = getattr(self, "_h_" + _event_key(event), None)
+        if hook is not None:
+            hook(*event_fields(event))
+
+
+class FullTrace(_HookSink):
     """Reconstructs the classic list-based :class:`Trace` from the stream.
 
     Record contents and list order are identical to what the seed
     implementation produced by appending during the run, because the
     emission points are the former append points: reconfigurations and
     executions are recorded at their *start* events (with the scheduled
-    ``end``), exactly as before.
+    ``end``), exactly as before.  ReconfigEnd / ExecEnd / AppActivated /
+    RunEnd carry no state the record lists need: starts already embed
+    their scheduled ends.
     """
 
     def __init__(self) -> None:
@@ -314,87 +385,6 @@ class FullTrace(TraceSink):
     def view(self) -> Trace:
         """The reconstructed :class:`Trace` (the run's primary result)."""
         return self.trace
-
-    def on_event(self, event: TraceEvent) -> None:
-        cls = type(event)
-        if cls is ExecStart:
-            self.trace.executions.append(
-                ExecRecord(
-                    ru=event.ru,
-                    config=event.config,
-                    app_index=event.app_index,
-                    start=event.time,
-                    end=event.end,
-                    reused=event.reused,
-                )
-            )
-            self.trace.no_reuse_baseline_us += event.load_us
-        elif cls is ReconfigStart:
-            self.trace.reconfigs.append(
-                ReconfigRecord(
-                    ru=event.ru,
-                    config=event.config,
-                    app_index=event.app_index,
-                    start=event.time,
-                    end=event.end,
-                    controller=event.controller,
-                )
-            )
-        elif cls is Reuse:
-            self.trace.reuses.append(
-                ReuseRecord(
-                    ru=event.ru,
-                    config=event.config,
-                    app_index=event.app_index,
-                    time=event.time,
-                )
-            )
-        elif cls is Eviction:
-            self.trace.evictions.append(
-                EvictionRecord(
-                    ru=event.ru,
-                    old_config=event.old_config,
-                    new_config=event.new_config,
-                    app_index=event.app_index,
-                    time=event.time,
-                )
-            )
-        elif cls is Skip:
-            self.trace.skips.append(
-                SkipRecord(
-                    app_index=event.app_index,
-                    config=event.config,
-                    victim_config=event.victim_config,
-                    time=event.time,
-                    skipped_events_after=event.skipped_events_after,
-                )
-            )
-        elif cls is AppCompleted:
-            self.trace.app_completion_times[event.app_index] = event.time
-        elif cls is RunStart:
-            self._trace = Trace(
-                n_rus=event.n_rus,
-                reconfig_latency=event.reconfig_latency,
-                n_controllers=event.n_controllers,
-            )
-        # ReconfigEnd / ExecEnd / AppActivated / RunEnd carry no state the
-        # record lists need: starts already embed their scheduled ends.
-
-    # -- scalar fast path (behaviour identical to on_event) --------------
-    def scalar_hooks(self):
-        return {
-            "run_start": self._h_run_start,
-            "app_activated": None,
-            "reconfig_start": self._h_reconfig_start,
-            "reconfig_end": None,
-            "reuse": self._h_reuse,
-            "eviction": self._h_eviction,
-            "skip": self._h_skip,
-            "exec_start": self._h_exec_start,
-            "exec_end": None,
-            "app_completed": self._h_app_completed,
-            "run_end": None,
-        }
 
     def _h_run_start(self, time, n_rus, reconfig_latency, n_apps, n_controllers):
         self._trace = Trace(
@@ -460,7 +450,7 @@ class FullTrace(TraceSink):
         self.trace.app_completion_times[app_index] = time
 
 
-class AggregateTrace(TraceSink):
+class AggregateTrace(_HookSink):
     """Memory-bounded sink: counters + makespan + per-RU busy time.
 
     Exposes the same read API the metrics layer uses on :class:`Trace`
@@ -491,56 +481,6 @@ class AggregateTrace(TraceSink):
 
     def view(self) -> "AggregateTrace":
         return self
-
-    def on_event(self, event: TraceEvent) -> None:
-        cls = type(event)
-        if cls is ExecStart:
-            self.n_executions += 1
-            if event.reused:
-                self.n_reused_executions += 1
-            self.no_reuse_baseline_us += event.load_us
-            try:
-                self._busy[event.ru] += event.end - event.time
-            except KeyError:
-                raise SimulationError(
-                    "AggregateTrace has not observed a RunStart yet"
-                ) from None
-            if event.end > self._makespan:
-                self._makespan = event.end
-        elif cls is ReconfigStart:
-            self.n_reconfigurations += 1
-            self._total_reconfig_time += event.end - event.time
-        elif cls is Reuse:
-            self.n_reuses += 1
-        elif cls is Eviction:
-            self.n_evictions += 1
-        elif cls is Skip:
-            self.n_skips += 1
-        elif cls is AppCompleted:
-            self.n_apps_completed += 1
-            self.last_completion_time = event.time
-        elif cls is RunStart:
-            self.n_rus = event.n_rus
-            self.reconfig_latency = event.reconfig_latency
-            self.n_controllers = event.n_controllers
-            self.n_apps = event.n_apps
-            self._busy = {i: 0 for i in range(event.n_rus)}
-
-    # -- scalar fast path (behaviour identical to on_event) --------------
-    def scalar_hooks(self):
-        return {
-            "run_start": self._h_run_start,
-            "app_activated": None,
-            "reconfig_start": self._h_reconfig_start,
-            "reconfig_end": None,
-            "reuse": self._h_reuse,
-            "eviction": self._h_eviction,
-            "skip": self._h_skip,
-            "exec_start": self._h_exec_start,
-            "exec_end": None,
-            "app_completed": self._h_app_completed,
-            "run_end": None,
-        }
 
     def _h_run_start(self, time, n_rus, reconfig_latency, n_apps, n_controllers):
         self.n_rus = n_rus
@@ -742,11 +682,17 @@ def _parse_trace_lines(lines: Iterable[str], label: str) -> Iterator[TraceEvent]
 def replay_events(
     events: Iterable[TraceEvent], *sinks: TraceSink
 ) -> Tuple[TraceSink, ...]:
-    """Feed ``events`` through ``sinks`` (closing them), return the sinks."""
+    """Feed ``events`` through ``sinks`` (closing them), return the sinks.
+
+    Events reach the sinks through the same merged hook tables a live
+    run uses (:func:`bind_hooks`), in the same sink order.
+    """
     try:
+        bound = bind_hooks(sinks)
         for event in events:
-            for sink in sinks:
-                sink.on_event(event)
+            hook = bound[_event_key(event)]
+            if hook is not None:
+                hook(*event_fields(event))
     finally:
         for sink in sinks:
             sink.close()
@@ -856,3 +802,13 @@ def trace_memory_bytes(view: TraceView) -> int:
 def event_field_names(cls: type) -> Tuple[str, ...]:
     """Field names of an event class (used by docs tests)."""
     return tuple(f.name for f in fields(cls))
+
+
+_FIELDS_BY_EVENT: Dict[type, Tuple[str, ...]] = {
+    cls: event_field_names(cls) for cls in EVENT_TYPES
+}
+
+
+def event_fields(event: TraceEvent) -> Tuple[object, ...]:
+    """An event's field values in hook-argument order."""
+    return tuple(getattr(event, name) for name in _FIELDS_BY_EVENT[type(event)])

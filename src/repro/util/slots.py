@@ -59,14 +59,24 @@ def _repoint_closures(new_cls: type, old_cls: type) -> None:
                 continue
 
 
+def _frozen_getstate(self) -> list:
+    return [getattr(self, f.name) for f in dataclasses.fields(self)]
+
+
+def _frozen_setstate(self, state: list) -> None:
+    for f, value in zip(dataclasses.fields(self), state):
+        object.__setattr__(self, f.name, value)
+
+
 def add_slots(cls: Type[_T]) -> Type[_T]:
     """Rebuild a dataclass with ``__slots__`` (3.9-compatible).
 
     Mirrors CPython's ``dataclasses._add_slots``: the new class slots
     only the fields not already slotted by a base class, drops the
-    class-level field defaults (captured by ``__init__``), and removes
+    class-level field defaults (captured by ``__init__``), removes
     ``__dict__``/``__weakref__`` descriptors so instances really are
-    dict-free when every class in the MRO cooperates.
+    dict-free when every class in the MRO cooperates, and gives frozen
+    classes pickle state hooks.
     """
     if "__slots__" in cls.__dict__:
         raise TypeError(f"{cls.__name__} already specifies __slots__")
@@ -84,6 +94,11 @@ def add_slots(cls: Type[_T]) -> Type[_T]:
         cls_dict.pop(name, None)  # defaults live in __init__ now
     cls_dict.pop("__dict__", None)
     cls_dict.pop("__weakref__", None)
+    if cls.__dataclass_params__.frozen:
+        # Unpickling a slotted object sets its slots with setattr, which
+        # a frozen dataclass refuses; state goes through object.__setattr__.
+        cls_dict["__getstate__"] = _frozen_getstate
+        cls_dict["__setstate__"] = _frozen_setstate
     qualname = getattr(cls, "__qualname__", None)
     new_cls = type(cls)(cls.__name__, cls.__bases__, cls_dict)
     if qualname is not None:

@@ -286,3 +286,20 @@ class TestServiceCommands:
         assert "--stream" in capsys.readouterr().err
         assert main(["fig2", "--json"]) == 2
         assert "--json" in capsys.readouterr().err
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--scenario", "quick", "--length", "-5"], "length must be >= 1"),
+            (["sweep", "--jobs", "0"], "must be >= 1, got 0"),
+        ],
+        ids=["run-negative-length", "sweep-zero-jobs"],
+    )
+    def test_repro_errors_print_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

@@ -245,3 +245,27 @@ class TestScalarHookValidation:
                 )
         finally:
             manager_mod.resolve_trace_mode = original
+
+    def test_incomplete_scalar_hooks_raise_beside_other_sinks(self, quick_workload):
+        from repro.core.policies.classic import LRUPolicy
+        from repro.core.replacement_module import PolicyAdvisor
+        from repro.exceptions import SimulationError
+        from repro.sim.manager import ExecutionManager
+        from repro.sim.tracing import AggregateTrace
+
+        class IncompleteSink(AggregateTrace):
+            def scalar_hooks(self):
+                hooks = dict(super().scalar_hooks())
+                del hooks["skip"]
+                return hooks
+
+        # Every sink's table is validated, not only a lone primary's.
+        with pytest.raises(SimulationError, match="IncompleteSink.*skip"):
+            ExecutionManager(
+                graphs=quick_workload.apps,
+                n_rus=4,
+                reconfig_latency=4000,
+                advisor=PolicyAdvisor(LRUPolicy()),
+                trace="full",
+                extra_sinks=(IncompleteSink(),),
+            )

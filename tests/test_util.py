@@ -123,3 +123,18 @@ class TestTiming:
     def test_measure_calls_invalid(self):
         with pytest.raises(ValueError):
             measure_calls(lambda: None, calls=0)
+
+
+class TestAddSlots:
+    def test_frozen_slotted_events_pickle_round_trip(self):
+        import pickle
+
+        from repro.graphs.task import ConfigId
+        from repro.sim.tracing import ReconfigStart, RunEnd
+
+        for event in (
+            RunEnd(time=7),
+            ReconfigStart(time=1, ru=2, config=ConfigId("A", 3), app_index=0, end=9),
+        ):
+            clone = pickle.loads(pickle.dumps(event))
+            assert clone == event and not hasattr(clone, "__dict__")
