@@ -946,6 +946,10 @@ def _dispatch(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    for flag, value in (("--jobs", args.jobs), ("--batch-size", args.batch_size)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
 
     if command == "fig1":
         from repro.core.dynamic_list import replay_fig1

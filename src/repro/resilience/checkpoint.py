@@ -37,11 +37,14 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import logging
 import pickle
 from typing import Dict, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.tracing import JsonlTraceWriter
+
+logger = logging.getLogger(__name__)
 
 #: Bump when the snapshot layout changes; old checkpoints then decode as
 #: misses and the run restarts from scratch instead of mis-restoring.
@@ -244,8 +247,9 @@ def resume_from_store(manager, store, key: str) -> bool:
     """Restore the manager from ``store`` if a usable checkpoint exists.
 
     Returns True when resumed.  A corrupt or mismatched checkpoint is
-    evicted and the run falls back to a fresh start — crash-safety must
-    never make a run *less* likely to complete.
+    evicted, with a warning naming the key and the reason, and the run
+    falls back to a fresh start — crash-safety must never make a run
+    *less* likely to complete.
     """
     from repro.artifacts.schema import decode_checkpoint
 
@@ -254,7 +258,12 @@ def resume_from_store(manager, store, key: str) -> bool:
         return False
     try:
         restore_checkpoint(manager, payload)
-    except CheckpointError:
+    except CheckpointError as exc:
+        logger.warning(
+            "discarding unusable checkpoint %s and restarting the run: %s",
+            key,
+            exc,
+        )
         store.evict("checkpoint", key)
         return False
     return True

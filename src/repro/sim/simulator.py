@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.exceptions import SimulationError
@@ -20,7 +21,7 @@ from repro.graphs.task_graph import TaskGraph
 from repro.hw.model import DeviceModel
 from repro.sim.interface import Decision, DecisionContext, ReplacementAdvisor
 from repro.sim.manager import ExecutionManager, MobilityTables
-from repro.sim.semantics import ManagerSemantics
+from repro.sim.semantics import CrossAppPrefetch, ManagerSemantics
 from repro.sim.tracing import TraceMode, TraceSink, TraceView
 from repro.workloads.compiled import CompiledWorkload
 
@@ -265,47 +266,132 @@ def ideal_makespan(
 ) -> int:
     """Makespan of the zero-reconfiguration-latency run on the same device.
 
-    Computed by simulation with latency 0 so the result honours the exact
-    same barrier, arrival and resource semantics as the measured run.
-    With a full ``device=`` model the baseline runs on
-    :meth:`~repro.hw.model.DeviceModel.zero_latency` — same floorplan
-    (slot compatibility still constrains placement) and same controller
-    pool, free loads — so heterogeneous-device overheads are measured
-    like-for-like too.
+    The baseline honours the exact same barrier, arrival and resource
+    semantics as the measured run.  With a full ``device=`` model it is
+    taken on :meth:`~repro.hw.model.DeviceModel.zero_latency` — same
+    floorplan (slot compatibility still constrains placement) and same
+    controller pool, free loads — so heterogeneous-device overheads are
+    measured like-for-like too.
     ``arrival_times`` must match the measured run's: an application cannot
     start before it arrives even when loads are free, and an ideal that
     ignores arrivals books that idle wait as reconfiguration overhead —
     inflating ``overhead_us`` for every staggered-arrival workload.
-    ``semantics`` is threaded through for the same like-for-like reason
-    (at zero latency no current knob moves the makespan, but the baseline
-    must not silently assume that).  For saturated arrivals on devices
-    with at least as many RUs as the widest application this equals the
-    sum of the applications' critical paths (asserted by the test suite).
-    The run streams through the aggregate sink — only the makespan is
-    needed, so no record lists are materialised.
+    ``semantics`` is threaded through for the same like-for-like reason.
+    For saturated arrivals on devices with at least as many RUs as the
+    widest application this equals the sum of the applications' critical
+    paths (asserted by the test suite).
+
+    **Decomposition.**  Under ``CrossAppPrefetch.ISOLATED`` (the paper's
+    default) application *i+1* is activated only when application *i*
+    completes, its loads are blocked until then, and at that instant no
+    RU is executing, loading or claimed.  At zero latency a load and a
+    reuse both hand the head task an RU at once, so what an application
+    can do from its start depends only on how many RUs are free — all
+    of them — and not on which configurations earlier applications left
+    behind, provided every slot accepts the same bitstreams.  The
+    sequence then folds as ``t = max(t, arrival_i) + m[app_graph[i]]``
+    with ``m[g]`` the zero-latency makespan of distinct application
+    ``g`` simulated alone on the same device: one tiny run per distinct
+    graph of the :class:`~repro.workloads.compiled.CompiledWorkload`
+    instead of one run over the whole sequence.
+
+    **Exactness condition, checked on every call:** ISOLATED semantics
+    and a floorplan whose slots all have the same capacity (the same
+    reduction :func:`~repro.artifacts.keys.ideal_key` makes).  Any other
+    case — the non-isolated prefetch ablations, mixed-capacity
+    floorplans, and malformed input the engine must reject — simulates
+    the whole sequence (:func:`_simulated_ideal`).  Both paths run the
+    aggregate sink, so no record lists are materialised.
     """
-    if device is not None:
-        ideal_device = device.zero_latency()
-        if n_rus is not None:
-            raise SimulationError(
-                "pass either device= or n_rus=, not both"
+    ideal_device = _zero_latency_device(n_rus, device)
+    if (
+        graphs
+        and _decomposes(semantics, ideal_device)
+        and (arrival_times is None or len(arrival_times) == len(graphs))
+        and (compiled is None or compiled.matches(graphs))
+    ):
+        if compiled is None:
+            compiled = CompiledWorkload.compile(graphs)
+        if compiled.max_concurrency <= ideal_device.n_rus:
+            return _folded_ideal(
+                graphs, compiled, ideal_device, arrival_times, semantics
             )
-    else:
-        if n_rus is None:
-            raise SimulationError(
-                "describe the hardware with device= or n_rus="
-            )
-        ideal_device = DeviceModel.homogeneous(n_rus, 0)
+    # The fallback also lets the engine reject malformed or infeasible
+    # input with its own error.
+    return _simulated_ideal(
+        graphs, n_rus, arrival_times, semantics, device, compiled
+    )
+
+
+def _folded_ideal(
+    graphs: Sequence[TaskGraph],
+    compiled: CompiledWorkload,
+    ideal_device: DeviceModel,
+    arrival_times: Optional[Sequence[int]],
+    semantics: ManagerSemantics,
+) -> int:
+    """Fold per-distinct-application makespans along the sequence."""
+    distinct: Dict[int, TaskGraph] = {}
+    for graph, gi in zip(graphs, compiled.app_graph):
+        distinct.setdefault(gi, graph)
+    alone = [
+        _simulated_ideal([distinct[gi]], semantics=semantics, device=ideal_device)
+        for gi in range(len(distinct))
+    ]
+    arrivals = repeat(0) if arrival_times is None else arrival_times
+    t = 0
+    for gi, arrival in zip(compiled.app_graph, arrivals):
+        t = max(t, arrival) + alone[gi]
+    return t
+
+
+def _decomposes(semantics: ManagerSemantics, ideal_device: DeviceModel) -> bool:
+    """Does the per-application fold equal the full zero-latency run?"""
+    return (
+        semantics.cross_app_prefetch is CrossAppPrefetch.ISOLATED
+        and len({slot.capacity_kb for slot in ideal_device.slots}) == 1
+    )
+
+
+def _simulated_ideal(
+    graphs: Sequence[TaskGraph],
+    n_rus: Optional[int] = None,
+    arrival_times: Optional[Sequence[int]] = None,
+    semantics: ManagerSemantics = ManagerSemantics(),
+    device: Optional[DeviceModel] = None,
+    compiled: Optional[CompiledWorkload] = None,
+) -> int:
+    """:func:`ideal_makespan` by simulating the whole sequence.
+
+    The fallback path of :func:`ideal_makespan` and the oracle its
+    decomposition is tested against.
+    """
     manager = ExecutionManager(
         graphs=graphs,
         advisor=_FirstCandidateAdvisor(),
         semantics=semantics,
         arrival_times=arrival_times,
         trace="aggregate",
-        device=ideal_device,
+        device=_zero_latency_device(n_rus, device),
         compiled=compiled,
     )
     return manager.run().makespan
+
+
+def _zero_latency_device(
+    n_rus: Optional[int], device: Optional[DeviceModel]
+) -> DeviceModel:
+    if device is not None:
+        if n_rus is not None:
+            raise SimulationError(
+                "pass either device= or n_rus=, not both"
+            )
+        return device.zero_latency()
+    if n_rus is None:
+        raise SimulationError(
+            "describe the hardware with device= or n_rus="
+        )
+    return DeviceModel.homogeneous(n_rus, 0)
 
 
 def sum_of_critical_paths(graphs: Sequence[TaskGraph]) -> int:

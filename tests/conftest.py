@@ -81,3 +81,19 @@ def oracle_semantics():
 @pytest.fixture
 def window1_semantics():
     return ManagerSemantics(lookahead_apps=1)
+
+
+@pytest.fixture
+def ideal_managers(monkeypatch):
+    """Sequence length of every manager the zero-latency ideal builds."""
+    import repro.sim.simulator as simulator
+
+    built = []
+
+    class CountingManager(simulator.ExecutionManager):
+        def __init__(self, graphs, *args, **kwargs):
+            built.append(len(graphs))
+            super().__init__(graphs, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "ExecutionManager", CountingManager)
+    return built

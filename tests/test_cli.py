@@ -293,9 +293,18 @@ class TestErrors:
         "argv,message",
         [
             (["run", "--scenario", "quick", "--length", "-5"], "length must be >= 1"),
-            (["sweep", "--jobs", "0"], "must be >= 1, got 0"),
+            (["sweep", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["fig9a", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
+            (["sweep", "--batch-size", "0"], "--batch-size must be >= 1, got 0"),
+            (["worker", "--batch-size", "-1"], "--batch-size must be >= 1, got -1"),
         ],
-        ids=["run-negative-length", "sweep-zero-jobs"],
+        ids=[
+            "run-negative-length",
+            "sweep-zero-jobs",
+            "fig9a-negative-jobs",
+            "sweep-zero-batch-size",
+            "worker-negative-batch-size",
+        ],
     )
     def test_repro_errors_print_one_line(self, capsys, argv, message):
         assert main(argv) == 2

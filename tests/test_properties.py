@@ -2,14 +2,16 @@
 
 Strategy generators build random DAG workloads; every generated simulation
 must satisfy the trace invariants I1-I6, policy-independent bounds
-(makespan >= ideal; reuse cannot exceed repeat opportunities), and the
+(makespan >= ideal; reuse cannot exceed repeat opportunities), the
 graph-layer invariants (topological order validity, serialization
-round-trips).
+round-trips), and the decomposed zero-latency ideal matching the full
+simulation it replaces.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.policies.classic import FIFOPolicy, LRUPolicy, MRUPolicy, RandomPolicy
@@ -18,8 +20,15 @@ from repro.core.replacement_module import PolicyAdvisor
 from repro.graphs.random_graphs import random_layered_graph
 from repro.graphs.serialization import graph_from_json, graph_to_json
 from repro.sim.semantics import CrossAppPrefetch, ManagerSemantics
-from repro.sim.simulator import ideal_makespan, simulate
+from repro.sim.simulator import (
+    _decomposes,
+    _simulated_ideal,
+    _zero_latency_device,
+    ideal_makespan,
+    simulate,
+)
 from repro.sim.validation import validate_trace
+from repro.workloads.scenarios import make_scenario
 
 FAST = settings(
     max_examples=25,
@@ -266,3 +275,96 @@ def test_skip_count_bounded_by_mobility(data):
     for app_index, n_skips in skips_per_app.items():
         max_mobility = max(mobility[apps[app_index].name].values(), default=0)
         assert n_skips <= max_mobility
+
+
+# ----------------------------------------------------------------------
+# Zero-latency ideal: the per-application fold vs the full simulation
+# ----------------------------------------------------------------------
+@st.composite
+def isolated_ideal_case(draw):
+    """A workload, hardware and ISOLATED semantics the fold must cover."""
+    from repro.hw.latency import BitstreamLatency, FixedLatency
+    from repro.hw.model import DeviceModel, RUSlot
+    from repro.workloads.compiled import max_concurrency
+
+    catalog = [
+        random_layered_graph(
+            f"G{k}",
+            draw(st.integers(min_value=1, max_value=8)),
+            seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+            max_width=3,
+            low_us=1000,
+            high_us=20000,
+        )
+        for k in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    apps = draw(st.lists(st.sampled_from(catalog), min_size=1, max_size=8))
+    n_rus = max(max_concurrency(g) for g in apps) + draw(
+        st.integers(min_value=0, max_value=2)
+    )
+    arrivals = draw(
+        st.one_of(
+            st.none(),
+            st.just([0] * len(apps)),
+            st.lists(
+                st.integers(min_value=0, max_value=80_000),
+                min_size=len(apps),
+                max_size=len(apps),
+            ).map(sorted),
+        )
+    )
+    if draw(st.booleans()):
+        hardware = {"n_rus": n_rus}
+    else:
+        latency = draw(
+            st.sampled_from([FixedLatency(4000), BitstreamLatency(us_per_kb=8)])
+        )
+        hardware = {
+            "device": DeviceModel(
+                slots=tuple(RUSlot() for _ in range(n_rus)),
+                latency_model=latency,
+                n_controllers=draw(st.integers(min_value=1, max_value=3)),
+            )
+        }
+    semantics = ManagerSemantics(
+        lookahead_apps=draw(st.integers(min_value=0, max_value=2)),
+        stall_on_loaded_future=draw(st.booleans()),
+        provide_oracle=draw(st.booleans()),
+    )
+    return apps, hardware, arrivals, semantics
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=isolated_ideal_case())
+def test_decomposed_ideal_equals_full_simulation(case):
+    apps, hardware, arrivals, semantics = case
+    device = _zero_latency_device(hardware.get("n_rus"), hardware.get("device"))
+    assert _decomposes(semantics, device)
+    kwargs = dict(hardware, arrival_times=arrivals, semantics=semantics)
+    assert ideal_makespan(apps, **kwargs) == _simulated_ideal(apps, **kwargs)
+
+
+def _repeating_apps():
+    a = random_layered_graph("A", 5, seed=3, max_width=3, low_us=1000, high_us=20000)
+    b = random_layered_graph("B", 4, seed=8, max_width=3, low_us=1000, high_us=20000)
+    return [a, b, a, a, b, a]
+
+
+@pytest.mark.parametrize(
+    "mode", [CrossAppPrefetch.FREE_RU_ONLY, CrossAppPrefetch.FULL]
+)
+def test_non_isolated_semantics_fall_back_to_simulation(request, mode):
+    apps = _repeating_apps()
+    semantics = ManagerSemantics(cross_app_prefetch=mode, lookahead_apps=2)
+    expected = _simulated_ideal(apps, 4, semantics=semantics)
+    built = request.getfixturevalue("ideal_managers")
+    assert ideal_makespan(apps, 4, semantics=semantics) == expected
+    assert built == [len(apps)]
+
+
+def test_mixed_capacity_floorplan_falls_back_to_simulation(request):
+    workload = make_scenario("big-little", length=40)
+    expected = _simulated_ideal(workload.apps, device=workload.device)
+    built = request.getfixturevalue("ideal_managers")
+    assert ideal_makespan(workload.apps, device=workload.device) == expected
+    assert built == [len(workload.apps)]

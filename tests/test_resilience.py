@@ -300,9 +300,10 @@ class TestCheckpointResume:
         assert _trace_blob(result.trace) == blob
         assert not store.exists("checkpoint", key)
 
-    def test_mismatched_checkpoint_evicted_as_miss(self, golden, tmp_path):
+    def test_mismatched_checkpoint_evicted_as_miss(self, golden, tmp_path, caplog):
         """A checkpoint from a *different* workload under the same key is
-        rejected by fingerprint, evicted, and the run starts fresh."""
+        rejected by fingerprint, evicted with one warning, and the run
+        starts fresh."""
         workload, blob, _ = golden
         other = quick_workload(length=8)
         store = ArtifactStore(tmp_path / "ckpt")
@@ -320,9 +321,15 @@ class TestCheckpointResume:
         finally:
             _BoomSink.armed = True
         assert store.exists("checkpoint", key)
-        result = _simulate(
-            workload, checkpoint_every=8, checkpoint_store=store, checkpoint_key=key
-        )
+        with caplog.at_level("WARNING", logger="repro.resilience.checkpoint"):
+            result = _simulate(
+                workload, checkpoint_every=8, checkpoint_store=store, checkpoint_key=key
+            )
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert warnings[0].name == "repro.resilience.checkpoint"
+        assert key in warnings[0].getMessage()
+        assert "fingerprint" in warnings[0].getMessage()
         assert _trace_blob(result.trace) == blob
         assert not store.exists("checkpoint", key)
 

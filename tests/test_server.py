@@ -367,13 +367,13 @@ class TestClient:
     def test_wait_timeout_raises(self):
         with ServerThread(workers=1, quota_rate=0) as srv:
             with ReproClient(srv.host, srv.port) as c:
-                # One long sweep saturates the single worker; the second
-                # job stays queued past any sub-second deadline.
+                # One long sweep (~0.5 s) saturates the single worker;
+                # the second job stays queued past any sub-second deadline.
                 blocker = c.submit(
                     {
                         "kind": "sweep",
                         "scenario": "paper-eval",
-                        "scenario_kwargs": {"length": 400},
+                        "scenario_kwargs": {"length": 1000},
                         "rus": [4, 5, 6, 7],
                     }
                 )

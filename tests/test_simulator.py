@@ -9,11 +9,14 @@ from repro.graphs.multimedia import benchmark_suite
 from repro.sim.semantics import ManagerSemantics
 from repro.sim.simtime import ms
 from repro.sim.simulator import (
+    _simulated_ideal,
     ideal_makespan,
     run_simulation,
     simulate,
     sum_of_critical_paths,
 )
+from repro.workloads.compiled import CompiledWorkload
+from repro.workloads.scenarios import make_scenario
 
 
 class TestIdealMakespan:
@@ -28,6 +31,17 @@ class TestIdealMakespan:
     def test_repeated_apps(self):
         g = fork_join_graph("FJ", ms(1), [ms(2), ms(5)], ms(1))
         assert ideal_makespan([g, g, g], 4) == 3 * g.critical_path_length()
+
+    def test_long_sequence_simulates_each_distinct_app_once(self, request):
+        """The decomposed ideal of a 2000-app workload builds one manager
+        per distinct application, never one over the whole sequence."""
+        workload = make_scenario("paper-eval", length=2000, seed=0)
+        compiled = CompiledWorkload.compile(workload.apps)
+        expected = _simulated_ideal(workload.apps, workload.n_rus, compiled=compiled)
+        built = request.getfixturevalue("ideal_managers")
+        ideal = ideal_makespan(workload.apps, workload.n_rus, compiled=compiled)
+        assert ideal == expected
+        assert built == [1] * len(compiled.graphs)
 
 
 class TestSimulateMetrics:
